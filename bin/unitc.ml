@@ -24,18 +24,40 @@ module Loader = Unit_isadsl.Loader
 
 let () = Unit_isa.Defs.ensure_registered ()
 
+(* ---------- file I/O errors: a structured Diag, never a backtrace ---------- *)
+
+let die_io fmt =
+  Printf.ksprintf
+    (fun detail ->
+      prerr_endline ("unitc: " ^ Diag.to_string (Diag.errorf Diag.Io "%s" detail));
+      exit 1)
+    fmt
+
+(* Fail before any work when an output file cannot be written, so a
+   typo in [--trace-out] costs nothing.  The probe leaves an existing
+   file untouched and removes one it had to create. *)
+let check_writable flag path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc ->
+    close_out oc;
+    if not existed then (try Sys.remove path with Sys_error _ -> ())
+  | exception Sys_error e -> die_io "%s: %s" flag e
+
 (* Tracing is flushed through [at_exit] so the summary and the Chrome
    trace are emitted even on the error-exit paths (check --trace with
    analysis errors exits 1 but still reports where the time went). *)
 let enable_tracing ?trace_out () =
+  Option.iter (check_writable "--trace-out") trace_out;
   Obs.set_enabled true;
   at_exit (fun () ->
       Obs.set_enabled false;
       Format.printf "%a@?" Obs.pp_summary ();
       Option.iter
         (fun path ->
-          Obs.write_chrome_trace path;
-          Printf.printf "chrome trace written to %s\n%!" path)
+          match Obs.write_chrome_trace path with
+          | () -> Printf.printf "chrome trace written to %s\n%!" path
+          | exception Sys_error e -> die_io "--trace-out: %s" e)
         trace_out)
 
 (* ---------- shared arguments ---------- *)
@@ -138,11 +160,19 @@ let parse_engine s =
    the moment they happen, so error-exit paths inside [f] lose nothing;
    the final [save] only compacts, and the stats line reports the run's
    disk traffic. *)
+let open_store path =
+  match Store.open_ path with
+  | opened -> opened
+  | exception Sys_error e -> die_io "--store: %s" e
+
+let save_store store =
+  try Store.save store with Sys_error e -> die_io "--store: %s" e
+
 let with_store store_path f =
   match store_path with
   | None -> f ()
   | Some path ->
-    let store, diags = Store.open_ path in
+    let store, diags = open_store path in
     print_store_diags diags;
     Unit_core.Pipeline.set_tuning_store (Some (Store.pipeline_hooks store));
     Unit_codegen.Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
@@ -150,7 +180,7 @@ let with_store store_path f =
       ~finally:(fun () ->
         Unit_core.Pipeline.set_tuning_store None;
         Unit_codegen.Emit_cache.set_artifact_hooks None;
-        Store.save store;
+        save_store store;
         let st = Store.stats store in
         Printf.printf
           "store %s: %d record(s), %d artifact(s); this run: %d disk hit(s), \
@@ -840,7 +870,7 @@ let warmup model target engine store_path domains retries trace trace_out
     | "zoo", None -> Warmup.jobs_of_zoo ~engine tgt
     | name, None -> or_die (Warmup.jobs_of_model ~engine tgt name)
   in
-  let store, diags = Store.open_ store_path in
+  let store, diags = open_store store_path in
   print_store_diags diags;
   Unit_core.Pipeline.set_tuning_store (Some (Store.pipeline_hooks store));
   Unit_codegen.Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
@@ -851,7 +881,7 @@ let warmup model target engine store_path domains retries trace trace_out
         Unit_codegen.Emit_cache.set_artifact_hooks None)
       (fun () -> Warmup.run ?domains ~retries jobs)
   in
-  Store.save store;
+  save_store store;
   Format.printf "%a@." Warmup.pp_report report;
   let st = Store.stats store in
   Printf.printf

@@ -1,7 +1,8 @@
 open Unit_dtype
 open Unit_tir
 
-(* Pretty-printer from lowered TIR to a self-contained OCaml module.
+(* Pretty-printer from lowered TIR to an OCaml module that depends only
+   on the host-linked Unit_emit_hook runtime.
 
    Where {!Compile} builds closures, this renders the same program as flat
    OCaml source for ocamlopt.  Bit-identity with the other engines comes
@@ -30,7 +31,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 3
+let version = 4
 
 type klass = KF | KI | KL
 
@@ -67,7 +68,7 @@ let carrier_of dt =
 
 let is_narrow dt = Dtype.is_integer dt && Dtype.bits dt <= 32
 
-(* Canonicalizer names from the fixed prelude below. *)
+(* Canonicalizer names from the fixed prelude in {!Unit_emit_hook}. *)
 let wname dt = "w_" ^ Dtype.to_string dt
 let satname dt = "sat_" ^ Dtype.to_string dt
 
@@ -97,45 +98,6 @@ let value_lit = function
   | Value.Int (_, x) -> int64_lit x
   | Value.Float (Dtype.F16, _) -> unsupported "f16 immediate"
   | Value.Float (_, f) -> float_lit f
-
-(* The prelude replicates Value.ml's raw-payload canonicalizers verbatim;
-   any drift there must be mirrored here (and [version] bumped). *)
-let prelude =
-  {|let w_bool x = if x land 0xff = 0 then 0 else 1
-let w_u8 x = x land 0xff
-let w_i8 x = let m = x land 0xff in if m land 0x80 <> 0 then m - 0x100 else m
-let w_i16 x = let m = x land 0xffff in if m land 0x8000 <> 0 then m - 0x10000 else m
-let w_i32 x =
-  let m = x land 0xffffffff in
-  if m land 0x80000000 <> 0 then m - 0x100000000 else m
-let r32 x = Int32.float_of_bits (Int32.bits_of_float x)
-let r_bf16 x =
-  if Float.is_nan x then Int32.float_of_bits 0x7fc00000l
-  else begin
-    let b = Int32.bits_of_float x in
-    let b =
-      Int32.add b
-        (Int32.add 0x7fffl (Int32.logand (Int32.shift_right_logical b 16) 1l))
-    in
-    Int32.float_of_bits (Int32.logand b 0xffff0000l)
-  end
-let trunc64 f =
-  if Float.is_nan f then 0L
-  else if f >= Int64.to_float Int64.max_int then Int64.max_int
-  else if f <= Int64.to_float Int64.min_int then Int64.min_int
-  else Int64.of_float f
-let trunc f = Int64.to_int (trunc64 f)
-let sat_gen lo hi f =
-  if Float.is_nan f then 0
-  else if f <= Int64.to_float lo then Int64.to_int lo
-  else if f >= Int64.to_float hi then Int64.to_int hi
-  else Int64.to_int (Int64.of_float f)
-let sat_bool f = sat_gen 0L 1L f
-let sat_u8 f = sat_gen 0L 255L f
-let sat_i8 f = sat_gen (-128L) 127L f
-let sat_i16 f = sat_gen (-32768L) 32767L f
-let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
-|}
 
 let render (func : Lower.func) : plan * string =
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
@@ -834,7 +796,7 @@ let render (func : Lower.func) : plan * string =
   B.add_string buf
     (Printf.sprintf "(* generated by Unit_codegen.Emit v%d from %s *)\n" version
        func.Lower.fn_name);
-  B.add_string buf prelude;
+  B.add_string buf "open Unit_emit_hook\n";
   B.add_string buf "\nlet kernel af ai al offs par =\n";
   line 1 "ignore af; ignore ai; ignore al; ignore offs; ignore par;";
   List.iter

@@ -1,5 +1,5 @@
-(** Native code emission: pretty-print a lowered TIR function as a
-    self-contained OCaml module.
+(** Native code emission: pretty-print a lowered TIR function as an
+    OCaml module whose only dependency is {!Unit_emit_hook}.
 
     The third execution engine (after the tree-walking {!Interp} and the
     closure-compiling {!Compile}): the kernel body becomes flat OCaml —
@@ -61,8 +61,9 @@ type plan = {
 
 val render : Lower.func -> plan * string
 (** [render func] is the binding plan and the complete OCaml source of
-    the emitted module (helper prelude, [kernel] function, trailing
-    [Unit_emit_hook.register] call).  Deterministic: equal functions
+    the emitted module ([open Unit_emit_hook] for the canonicalizer
+    prelude, [kernel] function, trailing [Unit_emit_hook.register]
+    call).  Deterministic: equal functions
     render to equal sources, which is what content-addresses the
     compiled artifact.
     @raise Unsupported — see above. *)

@@ -5,26 +5,44 @@ open Unit_tir
    name, so the memo is correctness, not just speed), and persistent
    artifact records through hooks the store installs.
 
-   Everything here is cold-path: the hot path is one Hashtbl probe on
-   the artifact key, and the key itself is two MD5s over strings that
-   are already in memory. *)
+   Lock layout — nothing is held across the out-of-process ocamlopt
+   call, so cold compiles of distinct kernels run in parallel and never
+   stall a warm hit:
+   - memo probe: a copy-on-write map snapshot in an [Atomic] (the
+     {!Unit_isa.Registry} pattern); a warm hit takes no lock;
+   - per-key flight ({!Singleflight}) around a miss: store lookup and
+     verification, ocamlopt, install + record, load.  Callers of one key
+     queue behind its leader and then hit the memo, so each key is
+     loaded exactly once per process;
+   - [dynlink_lock]: only [Dynlink.loadfile_private] +
+     [Unit_emit_hook.take], both process-global.
+
+   The hot path is one snapshot probe on the artifact key, and the key
+   itself is two MD5s over strings that are already in memory. *)
 
 module Obs = Unit_obs.Obs
 
 let c_artifact_hit = Obs.counter "emit.artifact.hit"
 let c_artifact_miss = Obs.counter "emit.artifact.miss"
+let c_artifact_corrupt = Obs.counter "emit.artifact.corrupt"
 let c_memo_hit = Obs.counter "emit.memo.hit"
 let c_fallback = Obs.counter "emit.fallback"
 
+type stored_artifact = {
+  sa_path : string;
+  sa_bytes : int;
+  sa_digest : string option;
+}
+
 type artifact_hooks = {
   ah_dir : key:string -> string;
-  ah_lookup : key:string -> string option;
-  ah_record : key:string -> signature:string -> file:string -> bytes:int -> unit;
+  ah_lookup : key:string -> stored_artifact option;
+  ah_record :
+    key:string -> signature:string -> file:string -> bytes:int -> digest:string -> unit;
 }
 
 let hooks : artifact_hooks option Atomic.t = Atomic.make None
 let set_artifact_hooks h = Atomic.set hooks h
-
 (* ---- availability probing (memoized) *)
 
 let probe_cmd cmd =
@@ -108,11 +126,25 @@ let artifact_key ~signature ~source =
 
 let modname_of_key key = "unit_emitted_" ^ String.sub key 0 16
 
-(* ---- compile + load (all under one lock: Dynlink and the hook slot
-   are process-global) *)
+(* ---- compile + load *)
 
-let lock = Mutex.create ()
-let memo : (string, Unit_emit_hook.kernel) Hashtbl.t = Hashtbl.create 16
+module Smap = Map.Make (String)
+
+let memo : Unit_emit_hook.kernel Smap.t Atomic.t = Atomic.make Smap.empty
+
+let rec memo_add key fn =
+  let m = Atomic.get memo in
+  if not (Atomic.compare_and_set memo m (Smap.add key fn m)) then memo_add key fn
+
+let memo_find key =
+  match Smap.find_opt key (Atomic.get memo) with
+  | Some fn ->
+    Obs.incr c_memo_hit;
+    Some fn
+  | None -> None
+
+let flights = Singleflight.create ()
+let dynlink_lock = Mutex.create ()
 
 let mkdir_p dir =
   let rec go d =
@@ -123,7 +155,11 @@ let mkdir_p dir =
   in
   go dir
 
-let tmp_dir =
+(* Forcing one lazy from two domains at once raises [Lazy.Undefined] in
+   OCaml 5, so the first force is serialized. *)
+let tmp_lock = Mutex.create ()
+
+let tmp_dir_cell =
   lazy
     (let d =
        Filename.concat
@@ -132,6 +168,8 @@ let tmp_dir =
      in
      mkdir_p d;
      d)
+
+let tmp_dir () = Mutex.protect tmp_lock (fun () -> Lazy.force tmp_dir_cell)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -145,12 +183,18 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let content_digest contents = Digest.to_hex (Digest.string contents)
+
 let first_line_of s =
   match String.index_opt s '\n' with
   | Some i when i > 0 -> String.sub s 0 (Stdlib.min i 200)
   | _ -> if String.length s > 200 then String.sub s 0 200 else s
 
+(* ocamlopt runs in flight in this process; see [make_par]. *)
+let compiling = Atomic.make 0
+
 let dynlink_take path =
+  Mutex.protect dynlink_lock @@ fun () ->
   Obs.with_span "emit.dynlink" @@ fun () ->
   match Dynlink.loadfile_private path with
   | exception Dynlink.Error e -> Error (Dynlink.error_message e)
@@ -160,9 +204,10 @@ let dynlink_take path =
      | Some fn -> Ok fn
      | None -> Error (Printf.sprintf "%s registered no kernel" path))
 
-let compile_source tc ~modname ~source =
+let compile_source tc ~fault ~key ~modname ~source =
   Obs.with_span "emit.compile" @@ fun () ->
-  let dir = Lazy.force tmp_dir in
+  fault ~key;
+  let dir = tmp_dir () in
   let src = Filename.concat dir (modname ^ ".ml") in
   let out = Filename.concat dir (modname ^ ".cmxs") in
   let log = Filename.concat dir (modname ^ ".log") in
@@ -174,7 +219,10 @@ let compile_source tc ~modname ~source =
     Printf.sprintf "%s -shared %s -o %s %s 2>%s" tc.tc_compiler includes
       (Filename.quote out) (Filename.quote src) (Filename.quote log)
   in
-  let rc = Sys.command cmd in
+  Atomic.incr compiling;
+  let rc =
+    Fun.protect ~finally:(fun () -> Atomic.decr compiling) (fun () -> Sys.command cmd)
+  in
   if rc <> 0 || not (Sys.file_exists out) then begin
     let detail = try first_line_of (read_file log) with _ -> "" in
     Error (Printf.sprintf "ocamlopt exit %d: %s" rc detail)
@@ -191,55 +239,88 @@ let install_artifact ~dir ~file ~from =
   let contents = read_file from in
   write_file tmp contents;
   Sys.rename tmp dst;
-  (dst, String.length contents)
+  (dst, String.length contents, content_digest contents)
 
-(* Load the kernel for [key], in preference order: process memo,
-   persistent artifact, fresh compile.  Caller holds [lock]. *)
-let load_locked tc ~signature ~key ~source =
-  match Hashtbl.find_opt memo key with
-  | Some fn ->
-    Obs.incr c_memo_hit;
-    Ok fn
+(* Nothing read from disk reaches [dlopen] unchecked: the payload must
+   have the recorded size and content digest.  Records written before
+   digests were kept fail too, and are recompiled and re-recorded. *)
+let verify_artifact sa =
+  match read_file sa.sa_path with
+  | exception Sys_error e -> Error e
+  | contents when String.length contents <> sa.sa_bytes ->
+    Error
+      (Printf.sprintf "%d bytes on disk, %d recorded" (String.length contents)
+         sa.sa_bytes)
+  | contents ->
+    (match sa.sa_digest with
+     | None -> Error "record carries no content digest"
+     | Some d when String.equal d (content_digest contents) -> Ok ()
+     | Some _ -> Error "content digest mismatch")
+
+let artifact_warning_last : Diag.t option Atomic.t = Atomic.make None
+let last_artifact_warning () = Atomic.get artifact_warning_last
+
+let note_bad_artifact sa reason =
+  Obs.incr c_artifact_corrupt;
+  let d =
+    Diag.warnf Diag.Store "artifact %s failed verification (%s); recompiling"
+      sa.sa_path reason
+  in
+  Atomic.set artifact_warning_last (Some d);
+  Obs.trace_diag (Diag.to_string d);
+  prerr_endline (Diag.to_string d)
+
+let load_from_store ~key =
+  match Atomic.get hooks with
+  | None -> None
+  | Some h ->
+    (match h.ah_lookup ~key with
+     | None -> None
+     | Some sa ->
+       (match verify_artifact sa with
+        | Error reason ->
+          note_bad_artifact sa reason;
+          None
+        | Ok () ->
+          Obs.incr c_artifact_hit;
+          (match dynlink_take sa.sa_path with
+           | Ok fn -> Some fn
+           | Error _ ->
+             (* verified but unloadable (e.g. built against another
+                runtime): recompile below *)
+             None)))
+
+(* A miss, in preference order: persistent artifact, fresh compile.
+   Runs under [key]'s flight; a leader that finished while this caller
+   queued has already filled the memo.  Failures are not memoized, so
+   the next caller retries. *)
+let load_cold tc ~fault ~signature ~key ~source =
+  match memo_find key with
+  | Some fn -> Ok fn
   | None ->
-    let modname = modname_of_key key in
-    let from_store =
-      match Atomic.get hooks with
-      | None -> None
-      | Some h ->
-        (match h.ah_lookup ~key with
-         | Some path when Sys.file_exists path ->
-           Obs.incr c_artifact_hit;
-           (match dynlink_take path with
-            | Ok fn -> Some fn
-            | Error _ ->
-              (* stale or corrupt on-disk artifact: recompile below *)
-              None)
-         | _ -> None)
-    in
     let result =
-      match from_store with
+      match load_from_store ~key with
       | Some fn -> Ok fn
       | None ->
         Obs.incr c_artifact_miss;
-        (match compile_source tc ~modname ~source with
+        let modname = modname_of_key key in
+        (match compile_source tc ~fault ~key ~modname ~source with
          | Error e -> Error e
          | Ok built ->
            let path =
              match Atomic.get hooks with
              | None -> built
              | Some h ->
-               (match
-                  install_artifact ~dir:(h.ah_dir ~key) ~file:(modname ^ ".cmxs")
-                    ~from:built
-                with
-                | dst, bytes ->
-                  h.ah_record ~key ~signature ~file:(modname ^ ".cmxs") ~bytes;
+               let file = modname ^ ".cmxs" in
+               (match install_artifact ~dir:(h.ah_dir ~key) ~file ~from:built with
+                | dst, bytes, digest ->
+                  h.ah_record ~key ~signature ~file ~bytes ~digest;
                   dst
                 | exception _ -> built)
            in
            dynlink_take path)
     in
-    (match result with Ok fn -> Hashtbl.replace memo key fn | Error _ -> ());
+    Result.iter (memo_add key) result;
     result
 
 type kernel = {
@@ -247,7 +328,9 @@ type kernel = {
   k_fn : Unit_emit_hook.kernel;
 }
 
-let load ~signature func =
+let no_fault ~key:_ = ()
+
+let load ?(fault = no_fault) ~signature func =
   match available_tc () with
   | Error e -> Error e
   | Ok tc ->
@@ -255,13 +338,15 @@ let load ~signature func =
      | exception Emit.Unsupported msg -> Error ("unsupported: " ^ msg)
      | plan, source ->
        let key = artifact_key ~signature ~source in
-       Mutex.lock lock;
-       Fun.protect
-         ~finally:(fun () -> Mutex.unlock lock)
-         (fun () ->
-           match load_locked tc ~signature ~key ~source with
-           | Ok fn -> Ok { k_plan = plan; k_fn = fn }
-           | Error e -> Error e))
+       let fn =
+         match memo_find key with
+         | Some fn -> Ok fn
+         | None ->
+           fst
+             (Singleflight.with_key flights key (fun () ->
+                  load_cold tc ~fault ~signature ~key ~source))
+       in
+       Result.map (fun fn -> { k_plan = plan; k_fn = fn }) fn)
 
 (* ---- running a loaded kernel *)
 
@@ -269,7 +354,11 @@ let error fmt = Printf.ksprintf (fun s -> raise (Interp.Runtime_error s)) fmt
 
 (* Parallel fan for emitted [Parallel] loops.  Guarded by a busy flag:
    if a kernel is already fanning (or the caller sits inside the
-   oracle), nested fans run serially rather than oversubscribing. *)
+   oracle), nested fans run serially rather than oversubscribing.  Fans
+   also run serially while an ocamlopt is in flight: compiles no longer
+   block warm kernels, so without this a fanning kernel and the
+   compiler contend for the same cores and the cold request waiting on
+   the compile pays for it. *)
 let par_busy = Atomic.make false
 
 let make_par () =
@@ -280,7 +369,11 @@ let make_par () =
         body i
       done
     end
-    else if domains <= 1 || not (Atomic.compare_and_set par_busy false true) then
+    else if
+      domains <= 1
+      || Atomic.get compiling > 0
+      || not (Atomic.compare_and_set par_busy false true)
+    then
       for i = 0 to extent - 1 do
         body i
       done
@@ -328,6 +421,7 @@ let run_kernel { k_plan; k_fn } ~bindings =
 
 (* ---- fallback ladder *)
 
+let fallback_lock = Mutex.create ()
 let fallback_seen : (string, unit) Hashtbl.t = Hashtbl.create 8
 let fallback_last : Diag.t option Atomic.t = Atomic.make None
 let last_fallback () = Atomic.get fallback_last
@@ -338,16 +432,18 @@ let note_fallback ~name reason =
       reason
   in
   Atomic.set fallback_last (Some d);
-  Mutex.lock lock;
-  let fresh = not (Hashtbl.mem fallback_seen reason) in
-  if fresh then Hashtbl.add fallback_seen reason ();
-  Mutex.unlock lock;
+  let fresh =
+    Mutex.protect fallback_lock (fun () ->
+        let fresh = not (Hashtbl.mem fallback_seen reason) in
+        if fresh then Hashtbl.add fallback_seen reason ();
+        fresh)
+  in
   if fresh then prerr_endline (Diag.to_string d)
 
 let default_signature (func : Lower.func) = "adhoc|" ^ func.Lower.fn_name
 
-let prepare ~signature func =
-  match load ~signature func with
+let prepare ?fault ~signature func =
+  match load ?fault ~signature func with
   | Ok _ -> Ok ()
   | Error e ->
     Obs.incr c_fallback;

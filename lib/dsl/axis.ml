@@ -9,13 +9,13 @@ type t = {
   extent : int;
 }
 
-let counter = ref 0
+(* Atomic: warm-up and daemon workers mint ids from several domains. *)
+let counter = Atomic.make 0
 
 let create ?name kind ~extent =
   if extent <= 0 then
     invalid_arg (Printf.sprintf "Axis.create: extent %d must be positive" extent);
-  incr counter;
-  let id = !counter in
+  let id = Atomic.fetch_and_add counter 1 + 1 in
   let name =
     match name with
     | Some n -> n

@@ -6,11 +6,11 @@ module Iter = struct
     kind : Axis.kind;
   }
 
-  let counter = ref 0
+  (* Atomic: warm-up and daemon workers mint ids from several domains. *)
+  let counter = Atomic.make 0
 
   let fresh ~name ~extent ~kind =
-    incr counter;
-    { id = !counter; name; extent; kind }
+    { id = Atomic.fetch_and_add counter 1 + 1; name; extent; kind }
 
   let equal a b = a.id = b.id
 

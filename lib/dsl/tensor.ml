@@ -5,7 +5,8 @@ type t = {
   dtype : Unit_dtype.Dtype.t;
 }
 
-let counter = ref 0
+(* Atomic: warm-up and daemon workers mint ids from several domains. *)
+let counter = Atomic.make 0
 
 let create ?name ~shape dtype =
   if shape = [] then invalid_arg "Tensor.create: empty shape";
@@ -14,8 +15,7 @@ let create ?name ~shape dtype =
       if d <= 0 then
         invalid_arg (Printf.sprintf "Tensor.create: dimension %d must be positive" d))
     shape;
-  incr counter;
-  let id = !counter in
+  let id = Atomic.fetch_and_add counter 1 + 1 in
   let name = match name with Some n -> n | None -> "t" ^ string_of_int id in
   { id; name; shape = Array.of_list shape; dtype }
 

@@ -9,6 +9,7 @@ module Warmup = Unit_store.Warmup
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
 module Ndarray = Unit_codegen.Ndarray
 module Spec = Unit_machine.Spec
+module Singleflight = Unit_codegen.Singleflight
 
 let c_shared = Obs.counter "serve.tensorize.shared"
 let shared_flights = Atomic.make 0

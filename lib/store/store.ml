@@ -36,6 +36,7 @@ type artifact = {
   a_compiler : string;
   a_file : string;
   a_bytes : int;
+  a_digest : string option;
 }
 
 type stats = {
@@ -171,15 +172,16 @@ let record_of_json j =
 
 let artifact_to_json a =
   Json.Obj
-    [ ("kind", Json.Str "artifact");
-      ("v", Json.Num (float_of_int schema_version));
-      ("key", Json.Str a.a_key);
-      ("sig", Json.Str a.a_signature);
-      ("emitter", Json.Num (float_of_int a.a_emitter));
-      ("compiler", Json.Str a.a_compiler);
-      ("file", Json.Str a.a_file);
-      ("bytes", Json.Num (float_of_int a.a_bytes))
-    ]
+    ([ ("kind", Json.Str "artifact");
+       ("v", Json.Num (float_of_int schema_version));
+       ("key", Json.Str a.a_key);
+       ("sig", Json.Str a.a_signature);
+       ("emitter", Json.Num (float_of_int a.a_emitter));
+       ("compiler", Json.Str a.a_compiler);
+       ("file", Json.Str a.a_file);
+       ("bytes", Json.Num (float_of_int a.a_bytes))
+     ]
+    @ match a.a_digest with Some d -> [ ("digest", Json.Str d) ] | None -> [])
 
 let artifact_of_json j =
   let str name =
@@ -211,7 +213,9 @@ let artifact_of_json j =
          || String.equal a_file ".."
          || String.equal a_file ""
        then Error "field file is not a plain basename"
-       else Ok { a_key; a_signature; a_emitter; a_compiler; a_file; a_bytes }
+       else
+         let a_digest = Option.bind (Json.member "digest" j) Json.to_str in
+         Ok { a_key; a_signature; a_emitter; a_compiler; a_file; a_bytes; a_digest }
      with
      | Error m -> Error (`Corrupt m)
      | Ok a -> Ok a)
@@ -416,14 +420,15 @@ let artifact_lookup t ~key =
   | Some a when is_live t a -> Some a
   | _ -> None
 
-let artifact_record t ~key ~signature ~file ~bytes =
+let artifact_record t ~key ~signature ~file ~bytes ~digest =
   let a =
     { a_key = key;
       a_signature = signature;
       a_emitter = Emit.version;
       a_compiler = Sys.ocaml_version;
       a_file = file;
-      a_bytes = bytes
+      a_bytes = bytes;
+      a_digest = digest
     }
   in
   with_lock t (fun () ->
@@ -442,10 +447,17 @@ let iter_artifacts t f =
 let emit_hooks t =
   { Emit_cache.ah_dir = (fun ~key:_ -> artifacts_dir t);
     ah_lookup =
-      (fun ~key -> Option.map (artifact_path t) (artifact_lookup t ~key));
+      (fun ~key ->
+        Option.map
+          (fun a ->
+            { Emit_cache.sa_path = artifact_path t a;
+              sa_bytes = a.a_bytes;
+              sa_digest = a.a_digest
+            })
+          (artifact_lookup t ~key));
     ah_record =
-      (fun ~key ~signature ~file ~bytes ->
-        artifact_record t ~key ~signature ~file ~bytes)
+      (fun ~key ~signature ~file ~bytes ~digest ->
+        artifact_record t ~key ~signature ~file ~bytes ~digest:(Some digest))
   }
 
 type gc_report = {

@@ -59,6 +59,9 @@ type artifact = {
   a_compiler : string;  (** [Sys.ocaml_version] at record time *)
   a_file : string;  (** basename of the [.cmxs] inside {!artifacts_dir} *)
   a_bytes : int;
+  a_digest : string option;
+      (** hex MD5 of the payload; [None] on records written before
+          digests were kept — the emission engine recompiles those *)
 }
 (** One compiled native kernel persisted by the emission engine.
     Artifact records share the tuning store's JSONL file (discriminated
@@ -140,9 +143,17 @@ val artifact_lookup : t -> key:string -> artifact option
     (and are {!gc} fodder). *)
 
 val artifact_record :
-  t -> key:string -> signature:string -> file:string -> bytes:int -> unit
+  t ->
+  key:string ->
+  signature:string ->
+  file:string ->
+  bytes:int ->
+  digest:string option ->
+  unit
 (** Insert-or-replace (stamped with the current emitter/compiler
-    versions) and append one JSONL line. *)
+    versions) and append one JSONL line.  [digest] is the payload's hex
+    MD5; [None] carries a digest-less legacy record over unchanged (it
+    fails verification and is recompiled on first use). *)
 
 val iter_artifacts : t -> (artifact -> unit) -> unit
 (** Every artifact record, live or stale, in unspecified order. *)

@@ -6,12 +6,12 @@ type t = {
   source : int option;
 }
 
-let counter = ref 0
+(* Atomic: warm-up and daemon workers mint ids from several domains. *)
+let counter = Atomic.make 0
 
 let create ?source ~name ~dtype ~size () =
   if size <= 0 then invalid_arg (Printf.sprintf "Buffer.create %s: size %d" name size);
-  incr counter;
-  { id = !counter; name; dtype; size; source }
+  { id = Atomic.fetch_and_add counter 1 + 1; name; dtype; size; source }
 
 let of_tensor (tensor : Unit_dsl.Tensor.t) =
   create ~source:tensor.id ~name:tensor.name ~dtype:tensor.dtype

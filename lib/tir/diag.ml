@@ -11,6 +11,7 @@ type rule =
   | Mem_plan
   | Emit
   | Isa_pack
+  | Io
 
 type severity =
   | Error
@@ -35,6 +36,7 @@ let rule_id = function
   | Mem_plan -> "mem-plan"
   | Emit -> "emit"
   | Isa_pack -> "isa-pack"
+  | Io -> "io"
 
 let errorf rule fmt =
   Printf.ksprintf (fun detail -> { rule; severity = Error; detail }) fmt

@@ -26,6 +26,9 @@ type rule =
           (position-tagged), elaboration failure (unknown dtype, shape or
           axis inconsistency, cost insanity), or a registry collision
           (same instruction name, different semantic digest) *)
+  | Io
+      (** a file named on the command line ([--store], [--trace-out],
+          [--isa-pack], ...) cannot be read or written *)
 
 type severity =
   | Error  (** the schedule is illegal; reject it *)
@@ -40,7 +43,7 @@ type t = {
 val rule_id : rule -> string
 (** Stable short id: ["scope"], ["bounds"], ["canonical"], ["tile"],
     ["race"], ["dep-carried"], ["tensorize-footprint"], ["overflow"],
-    ["store"], ["mem-plan"], ["emit"]. *)
+    ["store"], ["mem-plan"], ["emit"], ["isa-pack"], ["io"]. *)
 
 val errorf : rule -> ('a, unit, string, t) format4 -> 'a
 val warnf : rule -> ('a, unit, string, t) format4 -> 'a

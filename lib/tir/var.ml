@@ -4,11 +4,11 @@ type t = {
   dtype : Unit_dtype.Dtype.t;
 }
 
-let counter = ref 0
+(* Atomic: warm-up and daemon workers mint ids from several domains. *)
+let counter = Atomic.make 0
 
 let create ?(dtype = Unit_dtype.Dtype.I32) name =
-  incr counter;
-  { id = !counter; name; dtype }
+  { id = Atomic.fetch_and_add counter 1 + 1; name; dtype }
 
 let equal a b = a.id = b.id
 let compare a b = Stdlib.compare a.id b.id

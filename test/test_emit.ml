@@ -12,10 +12,12 @@ module Pipeline = Unit_core.Pipeline
 module Workload = Unit_graph.Workload
 module Spec = Unit_machine.Spec
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
+module Obs = Unit_obs.Obs
 
 let () = Defs.ensure_registered ()
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 let emit_available =
   match Emit_cache.available () with
@@ -228,6 +230,121 @@ let test_emit_fallback_diag () =
       (d.Diag.rule = Diag.Emit)
   | None -> Alcotest.fail "unsupported kernel left no fallback diagnostic"
 
+
+(* ---------- Emit_cache concurrency ---------- *)
+
+(* Poll [pred] every millisecond for up to [timeout] seconds. *)
+let wait_until ?(timeout = 20.0) pred =
+  let deadline = Obs.now () +. timeout in
+  let rec go () =
+    if pred () then true
+    else if Obs.now () > deadline then false
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
+
+let const_func name =
+  scalar_func ~name ~dtype:Dtype.I32 ~n:32 (fun buf i ->
+      Stmt.Store (buf, Texpr.var i, Texpr.add (Texpr.var i) (Texpr.int_imm 5)))
+
+let prepare ?fault func =
+  (* the signature [Emit_cache.run] defaults to, so [differential] hits the memo *)
+  Emit_cache.prepare ?fault ~signature:("adhoc|" ^ func.Lower.fn_name) func
+
+let spans_named name =
+  List.filter (fun sp -> String.equal sp.Obs.sp_name name) (Obs.spans ())
+
+let with_tracing f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    f
+
+let ok what = function
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+(* A cold compile held open on one domain must not delay a warm memo
+   hit on another key: the compile holds no process-wide lock. *)
+let test_held_compile_does_not_block_warm_hit () =
+  if emit_available then begin
+    let warm = const_func "emit_conc_warm" in
+    ok "warm-up" (prepare warm);
+    let entered = Atomic.make false and release = Atomic.make false in
+    let hold ~key:_ =
+      Atomic.set entered true;
+      ignore (wait_until (fun () -> Atomic.get release) : bool)
+    in
+    let cold = Domain.spawn (fun () -> prepare ~fault:hold (const_func "emit_conc_held")) in
+    check_bool "cold compile entered" true (wait_until (fun () -> Atomic.get entered));
+    let warm_done = Atomic.make false in
+    let hit =
+      Domain.spawn (fun () ->
+          let r = prepare warm in
+          Atomic.set warm_done true;
+          r)
+    in
+    let unblocked = wait_until ~timeout:10.0 (fun () -> Atomic.get warm_done) in
+    let held_meanwhile = not (Atomic.get release) in
+    Atomic.set release true;
+    ok "held compile" (Domain.join cold);
+    ok "warm hit" (Domain.join hit);
+    check_bool "warm hit returned while the cold compile was held" true
+      (unblocked && held_meanwhile)
+  end
+
+(* Concurrent prepares of one key share a single flight: one compile,
+   one Dynlink, and the follower reuses the leader's kernel. *)
+let test_same_key_compiles_once () =
+  if emit_available then begin
+    let func = const_func "emit_conc_same" in
+    let arrived = Atomic.make 0 in
+    (* the leader lingers so the follower queues on its flight *)
+    let linger ~key:_ = ignore (wait_until ~timeout:0.3 (fun () -> false) : bool) in
+    with_tracing (fun () ->
+        let go () =
+          Atomic.incr arrived;
+          ignore (wait_until (fun () -> Atomic.get arrived = 2) : bool);
+          prepare ~fault:linger func
+        in
+        let other = Domain.spawn go in
+        let mine = go () in
+        ok "first prepare" mine;
+        ok "second prepare" (Domain.join other);
+        check_int "one emit.compile span" 1 (List.length (spans_named "emit.compile"));
+        check_int "one emit.dynlink span" 1 (List.length (spans_named "emit.dynlink")));
+    differential func
+  end
+
+(* Distinct cold keys compile in parallel: each compile waits in its
+   fault hook until the other has entered, which only happens when no
+   lock is held across ocamlopt. *)
+let test_distinct_keys_compile_in_parallel () =
+  if emit_available then
+    with_tracing (fun () ->
+        let inside = Atomic.make 0 in
+        let meet ~key:_ =
+          Atomic.incr inside;
+          ignore (wait_until ~timeout:10.0 (fun () -> Atomic.get inside = 2) : bool)
+        in
+        let other =
+          Domain.spawn (fun () -> prepare ~fault:meet (const_func "emit_conc_a"))
+        in
+        ok "key a" (prepare ~fault:meet (const_func "emit_conc_b"));
+        ok "key b" (Domain.join other);
+        match spans_named "emit.compile" with
+        | [ a; b ] ->
+          check_bool "emit.compile spans overlap" true
+            (a.Obs.sp_begin < b.Obs.sp_end && b.Obs.sp_begin < a.Obs.sp_end);
+          check_bool "on two domains" true (a.Obs.sp_domain <> b.Obs.sp_domain)
+        | l -> Alcotest.failf "expected 2 emit.compile spans, got %d" (List.length l))
+
 (* ---------- qcheck: engine differential across workloads and ISAs ---------- *)
 
 (* Randomized conv shapes through the full pipeline on all three
@@ -308,6 +425,14 @@ let () =
             test_emit_view_bindings;
           Alcotest.test_case "fallback diagnostic" `Quick
             test_emit_fallback_diag
+        ] );
+      ( "concurrency",
+        [ Alcotest.test_case "held cold compile, warm hit proceeds" `Quick
+            test_held_compile_does_not_block_warm_hit;
+          Alcotest.test_case "one key compiles once" `Quick
+            test_same_key_compiles_once;
+          Alcotest.test_case "distinct keys compile in parallel" `Quick
+            test_distinct_keys_compile_in_parallel
         ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;

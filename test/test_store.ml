@@ -406,8 +406,9 @@ let test_artifact_round_trip () =
   let store, _ = Store.open_ path in
   let dir = Store.artifacts_dir store in
   write_payload dir "k1.cmxs" "payload-one";
+  let digest = Digest.to_hex (Digest.string "payload-one") in
   Store.artifact_record store ~key:"k1" ~signature:"sig-A" ~file:"k1.cmxs"
-    ~bytes:11;
+    ~bytes:11 ~digest:(Some digest);
   (match Store.artifact_lookup store ~key:"k1" with
    | Some a ->
      check_string "payload file" "k1.cmxs" a.Store.a_file;
@@ -425,8 +426,11 @@ let test_artifact_round_trip () =
   check_int "one artifact after reopen" 1
     (Store.stats reopened).Store.st_artifacts;
   check_int "one tuning record after reopen" 1 (Store.size reopened);
-  check_bool "artifact live after reopen" true
-    (Store.artifact_lookup reopened ~key:"k1" <> None);
+  (match Store.artifact_lookup reopened ~key:"k1" with
+   | Some a ->
+     check_bool "content digest survives the reopen" true
+       (a.Store.a_digest = Some digest)
+   | None -> Alcotest.fail "artifact not live after reopen");
   Sys.remove (Filename.concat dir "k1.cmxs");
   Sys.remove path
 
@@ -436,12 +440,12 @@ let test_artifact_gc () =
   let dir = Store.artifacts_dir store in
   write_payload dir "keep.cmxs" "live-payload";
   Store.artifact_record store ~key:"keep" ~signature:"sig-A" ~file:"keep.cmxs"
-    ~bytes:12;
+    ~bytes:12 ~digest:None;
   (* a record whose payload vanished is dead: invisible to lookup,
      dropped by gc *)
   write_payload dir "gone.cmxs" "doomed";
   Store.artifact_record store ~key:"gone" ~signature:"sig-B" ~file:"gone.cmxs"
-    ~bytes:6;
+    ~bytes:6 ~digest:None;
   Sys.remove (Filename.concat dir "gone.cmxs");
   check_bool "missing payload is not live" true
     (Store.artifact_lookup store ~key:"gone" = None);
@@ -472,6 +476,146 @@ let test_artifact_gc () =
   check_int "one artifact line left" 1 (Store.stats after).Store.st_artifacts;
   Sys.remove (Filename.concat dir "keep.cmxs");
   Sys.remove path
+
+
+(* ---------- verified artifact loads (fault injection) ---------- *)
+
+module Emit_cache = Unit_codegen.Emit_cache
+module Lower = Unit_tir.Lower
+
+(* A small integer kernel: out[i] = wrap_i32 (i * 1103 + 7). *)
+let artifact_func () =
+  let t = Tensor.create ~name:"out" ~shape:[ 64 ] Dtype.I32 in
+  let buf = Unit_tir.Buffer.of_tensor t in
+  let i = Unit_tir.Var.create "i" in
+  let body =
+    Unit_tir.Stmt.for_ i ~extent:64
+      (Unit_tir.Stmt.Store
+         ( buf,
+           Unit_tir.Texpr.var i,
+           Unit_tir.Texpr.add
+             (Unit_tir.Texpr.mul (Unit_tir.Texpr.var i)
+                (Unit_tir.Texpr.int_imm 1103))
+             (Unit_tir.Texpr.int_imm 7) ))
+  in
+  { Lower.fn_name = "artifact_fault"; fn_tensors = [ (t, buf) ];
+    fn_output = buf; fn_iter_vars = [ (0, i) ]; fn_body = body }
+
+let emit_child_flag = "--emit-artifact-child"
+
+(* Re-executed as a child process, this binary cold-compiles
+   [artifact_func] under the signature and into the store named on its
+   command line, then exits: the parent's emit memo stays cold, so its
+   load of that key must go through the store. *)
+let () =
+  if Array.length Sys.argv = 4 && String.equal Sys.argv.(1) emit_child_flag
+  then begin
+    let store, _ = Store.open_ Sys.argv.(3) in
+    Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
+    let rc =
+      match Emit_cache.prepare ~signature:Sys.argv.(2) (artifact_func ()) with
+      | Ok () -> 0
+      | Error e ->
+        prerr_endline e;
+        2
+    in
+    Store.save store;
+    exit rc
+  end
+
+let run_child args =
+  let pid =
+    Unix.create_process Sys.executable_name
+      (Array.of_list (Sys.executable_name :: args))
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED rc -> rc
+  | _ -> -1
+
+let file_contents path = In_channel.with_open_bin path In_channel.input_all
+
+(* Damage a stored artifact, then load it: the load must reject it
+   before Dynlink (a Diag.Store warning), recompile, re-record a
+   verifying digest and still produce the oracle's output bit for bit.
+   [corrupt store artifact payload] does the damage. *)
+let test_artifact_reverified ~signature corrupt () =
+  match Emit_cache.available () with
+  | Error reason -> Printf.printf "SKIPPED: native emission unavailable (%s)\n" reason
+  | Ok () ->
+    let path = temp_store_path () in
+    check_int "child cold-compiles into the store" 0
+      (run_child [ emit_child_flag; signature; path ]);
+    let store, _ = Store.open_ path in
+    let artifact =
+      let found = ref [] in
+      Store.iter_artifacts store (fun a -> found := a :: !found);
+      match !found with
+      | [ a ] -> a
+      | _ -> Alcotest.fail "expected exactly one recorded artifact"
+    in
+    let payload = Filename.concat (Store.artifacts_dir store) artifact.Store.a_file in
+    corrupt store artifact payload;
+    let func = artifact_func () in
+    let fresh () =
+      List.map
+        (fun ((t : Tensor.t), (b : Unit_tir.Buffer.t)) ->
+          (t, Ndarray.zeros ~dtype:b.Unit_tir.Buffer.dtype ~shape:[ b.Unit_tir.Buffer.size ]))
+        func.Lower.fn_tensors
+    in
+    let expected = fresh () in
+    Unit_codegen.Interp.run func ~bindings:expected;
+    Obs.reset ();
+    Obs.set_enabled true;
+    Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
+    let got = fresh () in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Emit_cache.set_artifact_hooks None)
+      (fun () -> Emit_cache.run ~signature func ~bindings:got);
+    check_bool "output bit-identical to the oracle" true
+      (Ndarray.equal (snd (List.hd expected)) (snd (List.hd got)));
+    (match Emit_cache.last_artifact_warning () with
+     | Some d -> check_bool "Diag.Store warning" true (d.Diag.rule = Diag.Store)
+     | None -> Alcotest.fail "damaged artifact raised no warning");
+    let counter name = try List.assoc name (Obs.counters ()) with Not_found -> 0 in
+    check_int "rejection counted" 1 (counter "emit.artifact.corrupt");
+    check_int "no verified store hit" 0 (counter "emit.artifact.hit");
+    let spans name =
+      List.filter (fun sp -> String.equal sp.Obs.sp_name name) (Obs.spans ())
+    in
+    (match spans "emit.compile", spans "emit.dynlink" with
+     | [ compile ], [ load ] ->
+       check_bool "the only load follows the recompile" true
+         (load.Obs.sp_begin >= compile.Obs.sp_end)
+     | c, l ->
+       Alcotest.failf "expected one compile and one load, got %d and %d"
+         (List.length c) (List.length l));
+    Obs.reset ();
+    (* the re-recorded artifact verifies against the rewritten payload *)
+    let reopened, _ = Store.open_ path in
+    let rewritten = file_contents payload in
+    let digests = ref [] in
+    Store.iter_artifacts reopened (fun a -> digests := a.Store.a_digest :: !digests);
+    check_bool "re-recorded digest matches the payload" true
+      (!digests = [ Some (Digest.to_hex (Digest.string rewritten)) ]);
+    Sys.remove payload;
+    Sys.remove path
+
+(* One byte flipped in the middle of the .cmxs: same size, wrong digest. *)
+let flip_byte _store _artifact payload =
+  let bad = Bytes.of_string (file_contents payload) in
+  let mid = Bytes.length bad / 2 in
+  Bytes.set bad mid (Char.chr (Char.code (Bytes.get bad mid) lxor 0x40));
+  Out_channel.with_open_bin payload (fun oc -> Out_channel.output_bytes oc bad)
+
+(* A record as written before digests were kept: the payload is intact
+   but unverifiable. *)
+let drop_digest store (a : Store.artifact) _payload =
+  Store.artifact_record store ~key:a.Store.a_key ~signature:a.Store.a_signature
+    ~file:a.Store.a_file ~bytes:a.Store.a_bytes ~digest:None;
+  Store.save store
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -507,7 +651,11 @@ let () =
         [ Alcotest.test_case "record / lookup / reopen" `Quick
             test_artifact_round_trip;
           Alcotest.test_case "gc drops stale + sweeps unreferenced" `Quick
-            test_artifact_gc
+            test_artifact_gc;
+          Alcotest.test_case "flipped byte recompiled, never loaded" `Quick
+            (test_artifact_reverified ~signature:"test|flip-byte" flip_byte);
+          Alcotest.test_case "digest-less record recompiled" `Quick
+            (test_artifact_reverified ~signature:"test|no-digest" drop_digest)
         ] );
       ( "cache",
         [ Alcotest.test_case "bounded with FIFO eviction" `Quick

@@ -329,6 +329,49 @@ let test_buffers_of_dedups_repeats () =
   in
   check_int "same-name distinct buffers both kept" 2 (List.length both)
 
+
+(* ---------- id minting across domains ---------- *)
+
+(* Two domains mint thousands of ids from every counter at once; the
+   ids of each kind must stay pairwise distinct.  A plain [ref] counter
+   loses increments here and hands two objects one id, which the
+   legality checker then reads as a write/write race. *)
+let test_ids_distinct_across_domains () =
+  let n = 10_000 in
+  let ready = Atomic.make 0 in
+  let mint () =
+    (* start both domains together so their minting overlaps *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let op =
+      Op_library.matmul ~n:2 ~m:2 ~k:2 ~a_dtype:Dtype.I32 ~b_dtype:Dtype.I32
+        ~acc_dtype:Dtype.I32 ()
+    in
+    List.init n (fun _ ->
+        let t = Tensor.create ~shape:[ 1 ] Dtype.I32 in
+        let ax = Axis.create Axis.Data_parallel ~extent:2 in
+        let b = Buffer.of_tensor t in
+        let v = Var.create "v" in
+        let iters = Schedule.leaves (Schedule.create op) in
+        (t.Tensor.id, ax.Axis.id, b.Buffer.id, v.Var.id,
+         List.map (fun (it : Schedule.Iter.t) -> it.Schedule.Iter.id) iters))
+  in
+  let other = Domain.spawn mint in
+  let mine = mint () in
+  let all = mine @ Domain.join other in
+  let distinct proj =
+    let ids = List.concat_map proj all in
+    List.length (List.sort_uniq compare ids) = List.length ids
+  in
+  check_bool "tensor ids distinct" true (distinct (fun (t, _, _, _, _) -> [ t ]));
+  check_bool "axis ids distinct" true (distinct (fun (_, a, _, _, _) -> [ a ]));
+  check_bool "buffer ids distinct" true (distinct (fun (_, _, b, _, _) -> [ b ]));
+  check_bool "var ids distinct" true (distinct (fun (_, _, _, v, _) -> [ v ]));
+  check_bool "schedule iter ids distinct" true
+    (distinct (fun (_, _, _, _, its) -> its))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -363,5 +406,9 @@ let () =
           Alcotest.test_case "buffers_of dedups repeats" `Quick
             test_buffers_of_dedups_repeats
         ]
-        @ qcheck [ prop_random_schedules_match ] )
+        @ qcheck [ prop_random_schedules_match ] );
+      ( "ids",
+        [ Alcotest.test_case "distinct across domains" `Quick
+            test_ids_distinct_across_domains
+        ] )
     ]
