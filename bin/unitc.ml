@@ -24,40 +24,19 @@ module Loader = Unit_isadsl.Loader
 
 let () = Unit_isa.Defs.ensure_registered ()
 
-(* ---------- file I/O errors: a structured Diag, never a backtrace ---------- *)
-
-let die_io fmt =
-  Printf.ksprintf
-    (fun detail ->
-      prerr_endline ("unitc: " ^ Diag.to_string (Diag.errorf Diag.Io "%s" detail));
-      exit 1)
-    fmt
-
-(* Fail before any work when an output file cannot be written, so a
-   typo in [--trace-out] costs nothing.  The probe leaves an existing
-   file untouched and removes one it had to create. *)
-let check_writable flag path =
-  let existed = Sys.file_exists path in
-  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
-  | oc ->
-    close_out oc;
-    if not existed then (try Sys.remove path with Sys_error _ -> ())
-  | exception Sys_error e -> die_io "%s: %s" flag e
-
 (* Tracing is flushed through [at_exit] so the summary and the Chrome
    trace are emitted even on the error-exit paths (check --trace with
    analysis errors exits 1 but still reports where the time went). *)
 let enable_tracing ?trace_out () =
-  Option.iter (check_writable "--trace-out") trace_out;
+  Option.iter (Cli_io.check_writable "--trace-out") trace_out;
   Obs.set_enabled true;
   at_exit (fun () ->
       Obs.set_enabled false;
       Format.printf "%a@?" Obs.pp_summary ();
       Option.iter
         (fun path ->
-          match Obs.write_chrome_trace path with
-          | () -> Printf.printf "chrome trace written to %s\n%!" path
-          | exception Sys_error e -> die_io "--trace-out: %s" e)
+          Cli_io.guard "--trace-out" (fun () -> Obs.write_chrome_trace path);
+          Printf.printf "chrome trace written to %s\n%!" path)
         trace_out)
 
 (* ---------- shared arguments ---------- *)
@@ -156,18 +135,13 @@ let parse_engine s =
     prerr_endline ("unitc: " ^ Diag.to_string d);
     exit 1
 
+let open_store path = Cli_io.guard "--store" (fun () -> Store.open_ path)
+let save_store store = Cli_io.guard "--store" (fun () -> Store.save store)
+
 (* Install a store around [f] when a path was given.  Appends are durable
    the moment they happen, so error-exit paths inside [f] lose nothing;
    the final [save] only compacts, and the stats line reports the run's
    disk traffic. *)
-let open_store path =
-  match Store.open_ path with
-  | opened -> opened
-  | exception Sys_error e -> die_io "--store: %s" e
-
-let save_store store =
-  try Store.save store with Sys_error e -> die_io "--store: %s" e
-
 let with_store store_path f =
   match store_path with
   | None -> f ()

@@ -20,13 +20,14 @@ module Pipeline = Unit_core.Pipeline
 let () = Unit_isa.Defs.ensure_registered ()
 
 let enable_tracing ?trace_out () =
+  Option.iter (Cli_io.check_writable "--trace-out") trace_out;
   Obs.set_enabled true;
   at_exit (fun () ->
       Obs.set_enabled false;
       Format.printf "%a@?" Obs.pp_summary ();
       Option.iter
         (fun path ->
-          Obs.write_chrome_trace path;
+          Cli_io.guard "--trace-out" (fun () -> Obs.write_chrome_trace path);
           Printf.printf "chrome trace written to %s\n%!" path)
         trace_out)
 
@@ -37,7 +38,7 @@ let with_sharded_store ?shards store_dir f =
   match store_dir with
   | None -> f ()
   | Some dir ->
-    let store, diags = Sharded.open_ ?shards dir in
+    let store, diags = Cli_io.guard "--store" (fun () -> Sharded.open_ ?shards dir) in
     List.iter (fun d -> Printf.printf "%s\n%!" (Diag.to_string d)) diags;
     Pipeline.set_tuning_store (Some (Sharded.pipeline_hooks store));
     Unit_codegen.Emit_cache.set_artifact_hooks (Some (Sharded.emit_hooks store));
@@ -45,7 +46,7 @@ let with_sharded_store ?shards store_dir f =
       ~finally:(fun () ->
         Pipeline.set_tuning_store None;
         Unit_codegen.Emit_cache.set_artifact_hooks None;
-        Sharded.save store;
+        Cli_io.guard "--store" (fun () -> Sharded.save store);
         let st = Sharded.stats store in
         Printf.printf
           "store %s: %d shard(s), %d record(s), %d artifact(s); this run: %d \
@@ -275,6 +276,7 @@ let contains ~needle hay =
   nn = 0 || go 0
 
 let metrics_smoke store_dir trace_file =
+  Cli_io.check_writable "--trace-file" trace_file;
   Obs.set_enabled true;
   let store_dir = Option.value ~default:"unitd_metrics_store" store_dir in
   if Sys.file_exists store_dir then begin
@@ -332,10 +334,11 @@ let metrics_smoke store_dir trace_file =
   (* 2. the finished trace, as a client would fetch it *)
   (match Server.submit server (Protocol.Trace { id = smoke_trace_id }) with
    | Protocol.Result doc ->
-     let oc = open_out trace_file in
-     output_string oc (Json.to_string doc);
-     output_char oc '\n';
-     close_out oc;
+     Cli_io.guard "--trace-file" (fun () ->
+         let oc = open_out trace_file in
+         output_string oc (Json.to_string doc);
+         output_char oc '\n';
+         close_out oc);
      Printf.printf "metrics-smoke: trace %s written to %s\n%!" smoke_trace_id
        trace_file
    | Protocol.Failure (_, m) -> failwith ("trace fetch failed: " ^ m));
