@@ -426,7 +426,7 @@ let () =
           Alcotest.test_case "fallback diagnostic" `Quick
             test_emit_fallback_diag
         ] );
-      ( "concurrency",
+      ( "parallel",
         [ Alcotest.test_case "held cold compile, warm hit proceeds" `Quick
             test_held_compile_does_not_block_warm_hit;
           Alcotest.test_case "one key compiles once" `Quick
